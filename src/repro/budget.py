@@ -15,12 +15,11 @@ import tempfile
 from dataclasses import dataclass
 from typing import Hashable
 
-from repro.core.cfp_growth import mine_array, mine_array_partitioned
+from repro.core.cfp_growth import mine_array
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.errors import ExperimentError
 from repro.fptree.growth import ListCollector
-from repro.storage import DiskCfpArray, save_cfp_array
 from repro.storage.cfp_store import save_cfp_array_partitioned
 from repro.storage.pagefile import PAGE_SIZE
 from repro.storage.partitioned import PartitionedCfpArray
@@ -116,8 +115,6 @@ def mine_with_budget(
     min_support: int,
     memory_budget: int,
     spill_dir: str | os.PathLike | None = None,
-    *,
-    partitioned: bool = True,
 ) -> tuple[list[tuple[tuple[Hashable, ...], int]], BudgetReport]:
     """Mine within ``memory_budget`` bytes for the *initial* structures.
 
@@ -125,14 +122,14 @@ def mine_with_budget(
     budget (they are transient and small relative to the initial array;
     §3.5). Returns the itemsets and a report of the decision.
 
-    Out-of-core spills default to the partitioned tiered store (format
-    v3): the budget splits into a pinned hot set of the most frequent
-    ranks (a quarter), with the rest backing the buffer pool; partitions
-    are sized to half the pool so the active partition and its read-ahead
+    Out-of-core spills go to the partitioned tiered store (format v3):
+    the budget splits into a pinned hot set of the most frequent ranks
+    (a quarter), with the rest backing the buffer pool; partitions are
+    sized to half the pool so the active partition and its read-ahead
     co-reside, and the mine proceeds partition-at-a-time with background
-    sequential prefetch. ``partitioned=False`` keeps the legacy
-    monolithic spill (:class:`DiskCfpArray`, random pool reads) — the
-    §4.3 access-pattern baseline the experiments still measure.
+    sequential prefetch. (The monolithic :class:`repro.storage.DiskCfpArray`
+    spill — the §4.3 access-pattern baseline — is measured directly by
+    :mod:`repro.experiments.outofcore`.)
     """
     if memory_budget < MIN_POOL_PAGES * PAGE_SIZE:
         raise ExperimentError(
@@ -154,7 +151,7 @@ def mine_with_budget(
             array_bytes=array_bytes,
             went_out_of_core=False,
         )
-    elif partitioned:
+    else:
         # Tiered split: a quarter of the budget pins the hot set (the
         # most frequent ranks, which every ancestor walk lands in), the
         # rest backs the buffer pool. Partitions at half the pool let the
@@ -175,7 +172,7 @@ def mine_with_budget(
             with PartitionedCfpArray(
                 path, pool_pages=pool_pages, hot_bytes=hot_bytes
             ) as disk:
-                mine_array_partitioned(disk, min_support, collector)
+                mine_array(disk, min_support, collector)
                 stats = disk.pool.stats
                 report = BudgetReport(
                     budget_bytes=memory_budget,
@@ -191,28 +188,6 @@ def mine_with_budget(
                 )
         finally:
             os.unlink(path)
-    else:
-        pool_pages = max(MIN_POOL_PAGES, memory_budget // PAGE_SIZE)
-        handle, path = tempfile.mkstemp(
-            suffix=".cfpa", dir=os.fspath(spill_dir) if spill_dir else None
-        )
-        os.close(handle)
-        try:
-            save_cfp_array(array, path)
-            del array
-            with DiskCfpArray(path, pool_pages=pool_pages) as disk:
-                mine_array(disk, min_support, collector)
-                faults = disk.pool.stats.faults
-        finally:
-            os.unlink(path)
-        report = BudgetReport(
-            budget_bytes=memory_budget,
-            tree_bytes=tree_bytes,
-            array_bytes=array_bytes,
-            went_out_of_core=True,
-            pool_pages=pool_pages,
-            page_faults=faults,
-        )
     itemsets = [
         (table.ranks_to_items(ranks), support)
         for ranks, support in collector.itemsets

@@ -9,7 +9,9 @@ The algorithm is FP-growth with both phases re-based on the CFP structures:
    prefix paths are collected by backward traversal in the CFP-array, a
    *conditional* CFP-tree is built from them, converted, and mined
    recursively. Trees that degenerate to a single path are enumerated
-   directly without conversion.
+   directly without conversion. :func:`mine_array` / :func:`mine_rank`
+   are the only implementation of this loop; every CFP-array miner
+   (out-of-core, parallel, top-k, PFP, serving) runs through them.
 
 The miner is instrumented: a :class:`repro.machine.Meter` (optional)
 receives structure-size samples and operation counts that drive the
@@ -34,7 +36,16 @@ from repro.util.items import TransactionDatabase, prepare_transactions
 
 
 class SupportCollector(Protocol):
-    """Sink for mined itemsets (:class:`repro.fptree.growth.ListCollector`)."""
+    """Sink for mined itemsets (:class:`repro.fptree.growth.ListCollector`).
+
+    ``threshold`` is the collector's own support floor on top of the
+    miner's ``min_support``: 0 for collectors that take every frequent
+    itemset, the rising heap bound for the top-k collector. The mine
+    loop prunes with ``max(min_support, threshold)``.
+    """
+
+    @property
+    def threshold(self) -> int: ...
 
     def emit(self, itemset: tuple[int, ...], support: int) -> None: ...
 
@@ -82,84 +93,72 @@ def mine_array(
 ) -> None:
     """Recursively mine a CFP-array (the §2.1 mine loop on §3.4 structures).
 
-    With a tracer installed (:func:`repro.obs.set_tracer`) the *top-level*
-    loop (``suffix == ()``) emits one ``mine_rank`` span per rank, carrying
-    meter deltas — the same per-rank granularity the parallel miner ships
-    back from its workers, so serial and parallel traces have one shape.
-    Recursive (conditional) calls are never traced per-span: tracing must
-    not change the mine phase's asymptotics.
+    This is the one mine loop; everything that varies between its callers
+    comes from the inputs:
+
+    * the rank schedule from ``array.active_ranks_descending()`` — a
+      partitioned out-of-core reader yields its ranks partition by
+      partition and starts read-ahead as it enters each one;
+    * the pruning threshold from ``collector.threshold`` (see
+      :func:`mine_rank`), which is how top-k mining raises it mid-run;
+    * tracing: with a tracer installed and owned by the calling thread
+      (:func:`repro.obs.owned_tracer`) the *top-level* loop
+      (``suffix == ()``) wraps each rank in a ``mine_rank`` span
+      (:func:`mine_rank_span`) — the same per-rank granularity the
+      parallel miner ships back from its workers, so serial and parallel
+      traces have one shape. Recursive (conditional) calls are never
+      traced per-span: tracing must not change the mine phase's
+      asymptotics.
     """
-    tracer = obs.get_tracer()
-    if tracer is not None and not suffix:
-        _mine_array_traced(array, min_support, collector, meter, tracer)
+    tracer = None if suffix else obs.owned_tracer()
+    if tracer is None:
+        for rank in array.active_ranks_descending():
+            mine_rank(array, rank, min_support, collector, suffix, meter)
+        if meter is not None and not suffix:
+            # Untraced metered runs never hit a span snapshot; fold the
+            # batched scan accounting in before the caller reads the meter.
+            meter.flush_mine_scans()
         return
-    for rank in array.active_ranks_descending():
-        mine_rank(array, rank, min_support, collector, suffix, meter)
-    if meter is not None and not suffix:
-        # Untraced metered runs never hit a span snapshot; fold the
-        # batched scan accounting in before the caller reads the meter.
-        meter.flush_mine_scans()
-
-
-def mine_array_partitioned(
-    array: Any,
-    min_support: int,
-    collector: SupportCollector,
-    meter: Any = None,
-) -> None:
-    """Partition-at-a-time mine loop over a partitioned (v3) CFP-array.
-
-    ``array`` is a :class:`repro.storage.partitioned.PartitionedCfpArray`
-    (typed structurally — core must not import storage): it adds
-    ``partitions_descending`` / ``begin_partition`` /
-    ``active_ranks_in_partition`` on top of the :class:`CfpArray`
-    traversal interface. Partitions are visited in descending rank order
-    and ranks descending within each, which concatenates to exactly
-    :func:`mine_array`'s global least-frequent-first order — the output
-    is byte-identical to the monolithic mine. ``begin_partition`` hands
-    the scheduler's next-partition hint to the array's background
-    prefetcher before the active partition is scanned, so sequential
-    read-ahead overlaps the columnar mine work: only the active
-    partition, the read-ahead, and the pinned hot set need be resident.
-    """
-    for part in array.partitions_descending():
-        array.begin_partition(part.index)
-        for rank in array.active_ranks_in_partition(part):
-            mine_rank(array, rank, min_support, collector, (), meter)
-    if meter is not None:
-        meter.flush_mine_scans()
-
-
-def _mine_array_traced(
-    array: CfpArray,
-    min_support: int,
-    collector: SupportCollector,
-    meter: Any,
-    tracer: Tracer,
-) -> None:
-    """Top-level mine loop with per-rank spans (serial tracing path)."""
     # Results never depend on the meter; a local one supplies span deltas
     # when the caller did not pass its own.
     if meter is None:
         meter = Meter()
     cache_before = array.cache_counts()
-    backend = kernels.backend()  # constant per process, not per span
     for rank in array.active_ranks_descending():
-        span = tracer.begin_span(
-            "mine_rank",
-            {
-                "rank": rank,
-                "subarray_bytes": array.subarray_bytes(rank),
-                "kernel_backend": backend,
-            },
-        )
-        try:
-            before = _meter_counts(meter)
-            mine_rank(array, rank, min_support, collector, (), meter)
-            _attach_meter_delta(span, meter, before)
-        finally:
-            tracer.end_span(span)
+        mine_rank_span(tracer, array, rank, min_support, collector, (), meter)
     array.publish_cache_metrics(obs.metrics, baseline=cache_before)
+
+
+def mine_rank_span(
+    tracer: Tracer,
+    array: CfpArray,
+    rank: int,
+    min_support: int,
+    collector: SupportCollector,
+    suffix: tuple[int, ...],
+    meter: Any,
+) -> Span:
+    """:func:`mine_rank` inside a ``mine_rank`` span carrying meter deltas.
+
+    Shared by the serial traced loop and the parallel miner's worker
+    task. Returns the closed span; its ``attrs`` are still the recorded
+    ones, so a caller may attach more (the worker adds its meter record).
+    """
+    span = tracer.begin_span(
+        "mine_rank",
+        {
+            "rank": rank,
+            "subarray_bytes": array.subarray_bytes(rank),
+            "kernel_backend": kernels.backend(),
+        },
+    )
+    try:
+        before = _meter_counts(meter)
+        mine_rank(array, rank, min_support, collector, suffix, meter)
+        _attach_meter_delta(span, meter, before)
+    finally:
+        tracer.end_span(span)
+    return span
 
 
 def mine_rank(
@@ -175,13 +174,24 @@ def mine_rank(
     Exposed separately so the parallel miner (:mod:`repro.core.parallel`)
     can run per-rank tasks through exactly the serial code path, which is
     what makes worker output byte-identical to the serial miner's.
+
+    The effective threshold is ``max(min_support, collector.threshold)``,
+    read once per rank before the support check and again after the
+    rank's own itemset is emitted (which may raise a top-k bound), before
+    the conditional is built.
     """
+    threshold = collector.threshold
+    if threshold < min_support:
+        threshold = min_support
     support = array.rank_support(rank)
-    if support < min_support:
+    if support < threshold:
         return
     itemset = (rank,) + suffix
     collector.emit(itemset, support)
-    chain, cond_array = _conditional_struct(array, rank, min_support, meter)
+    threshold = collector.threshold
+    if threshold < min_support:
+        threshold = min_support
+    chain, cond_array = _conditional_struct(array, rank, threshold, meter)
     if chain is not None:
         # Degenerate (single-path) conditional: the chain already carries
         # the suffix-summed counts the tree's single_path() would report,
@@ -192,7 +202,7 @@ def mine_rank(
         return
     cond_array.set_cache_budget(array.cache_budget)
     mine_array(cond_array, min_support, collector, itemset, meter)
-    if obs.get_tracer() is not None:
+    if obs.owned_tracer() is not None:
         # Conditional arrays are ephemeral; fold their cache counters into
         # the registry before they vanish (traced runs only — one publish
         # per conditional tree, never per node).

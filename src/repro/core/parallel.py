@@ -53,10 +53,9 @@ from repro.core import kernels
 from repro.core.cfp_array import CfpArray
 from repro.core.cfp_growth import (
     SupportCollector,
-    _attach_meter_delta,
-    _meter_counts,
     mine_array,
     mine_rank,
+    mine_rank_span,
 )
 from repro.errors import ParallelMineError, SupervisionError
 from repro.machine import Meter
@@ -107,6 +106,8 @@ _ATTACHED: dict[str, tuple[shared_memory.SharedMemory, memoryview, CfpArray]] = 
 
 class _EventCollector:
     """Records collector calls verbatim for replay in the parent."""
+
+    threshold = 0
 
     def __init__(self) -> None:
         self.events: list[_Event] = []
@@ -259,16 +260,10 @@ def _mine_rank_task(
     registry_before = obs.metrics.counters() if want_trace else {}
     cache_before = array.cache_counts()
     try:
-        with tracer.span(
-            "mine_rank",
-            rank=rank,
-            subarray_bytes=array.subarray_bytes(rank),
-            kernel_backend=kernels.backend(),
-        ) as span:
-            before = _meter_counts(meter)
-            mine_rank(array, rank, min_support, collector, suffix, meter)
-            _attach_meter_delta(span, meter, before)
-            span.set("meter", meter.to_record())
+        span = mine_rank_span(
+            tracer, array, rank, min_support, collector, suffix, meter
+        )
+        span.set("meter", meter.to_record())
     finally:
         if want_trace:
             obs.set_tracer(previous)
@@ -378,8 +373,14 @@ def mine_array_parallel(
     ``policy.fallback_serial`` is off, in which case it raises
     :class:`repro.errors.ParallelMineError`.
     """
+    # Readers without an in-memory buffer (pooled or partitioned) mine
+    # serially. This check comes before the ranks are listed: listing a
+    # partitioned reader's schedule starts its read-ahead.
+    if jobs <= 1 or len(array.buffer) == 0:
+        mine_array(array, min_support, collector, suffix, meter)
+        return
     ranks = list(array.active_ranks_descending())
-    if jobs <= 1 or len(ranks) <= 1 or len(array.buffer) == 0:
+    if len(ranks) <= 1:
         mine_array(array, min_support, collector, suffix, meter)
         return
     if rank_order is None:

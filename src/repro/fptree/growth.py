@@ -24,6 +24,9 @@ from repro.util.items import TransactionDatabase, prepare_transactions
 class ListCollector:
     """Materializes every frequent itemset as ``(ranks_tuple, support)``."""
 
+    #: No support floor of its own (see ``SupportCollector.threshold``).
+    threshold = 0
+
     def __init__(self):
         self.itemsets: list[tuple[tuple[int, ...], int]] = []
 
@@ -50,6 +53,8 @@ class ListCollector:
 
 class CountCollector:
     """Counts frequent itemsets without materializing single-path subsets."""
+
+    threshold = 0
 
     def __init__(self):
         self.count = 0

@@ -13,13 +13,13 @@ considered; ``min_length`` filters trivial singletons if desired.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from typing import Hashable
 
 from repro.core.cfp_array import CfpArray
-from repro.core.cfp_growth import _conditional_struct
+from repro.core.cfp_growth import mine_array
+from repro.core.conversion import convert
+from repro.core.ternary import TernaryCfpTree
 from repro.errors import ExperimentError
-from repro.fptree.tree import FPTree
 from repro.util.items import TransactionDatabase, prepare_transactions
 
 
@@ -124,35 +124,13 @@ def top_k_itemsets(
     min_support_floor: int = 1,
 ) -> list[tuple[tuple[Hashable, ...], int]]:
     """The ``k`` highest-support itemsets (ties broken lexicographically)."""
-    if k < 1:
-        raise ExperimentError(f"k must be >= 1, got {k}")
-    if min_length < 1:
-        raise ExperimentError(f"min_length must be >= 1, got {min_length}")
+    _check_arguments(k, min_length)
     table, transactions = prepare_transactions(database, min_support_floor)
-    collector = _TopKCollector(k, min_length, min_support_floor)
-    tree = FPTree.from_rank_transactions(transactions, len(table))
-    _mine(tree, collector, ())
+    array = convert(TernaryCfpTree.from_rank_transactions(transactions, len(table)))
     return [
         (table.ranks_to_items(ranks), support)
-        for ranks, support in collector.results()
+        for ranks, support in mine_top_k(array, k, min_length, min_support_floor)
     ]
-
-
-def _mine(tree: FPTree, collector: _TopKCollector, suffix: tuple[int, ...]) -> None:
-    path = tree.single_path()
-    if path is not None:
-        if path:
-            collector.emit_path_subsets(path, suffix)
-        return
-    for rank in tree.active_ranks_descending():
-        support = tree.rank_count(rank)
-        if support < collector.threshold:
-            continue
-        itemset = (rank,) + suffix
-        collector.emit(itemset, support)
-        conditional = _conditional(tree, rank, collector.threshold)
-        if conditional is not None:
-            _mine(conditional, collector, itemset)
 
 
 def mine_top_k(
@@ -164,63 +142,23 @@ def mine_top_k(
     """Top-k over a built CFP-array, in rank vocabulary.
 
     The serving-layer entry point: the array is long-lived (loaded once,
-    queried many times), so unlike :func:`top_k_itemsets` no tree is ever
-    built — conditionals come from the columnar kernels
-    (:func:`repro.core.cfp_growth._conditional_struct`), exactly as the
-    batch mine phase builds them. Because the collector's k-set is
-    order-independent, the result is identical to running
-    :func:`top_k_itemsets` on the database the array was built from
-    (modulo rank translation) — the property the serving parity suite
-    holds it to.
+    queried many times). The mine is the ordinary §2.1 loop
+    (:func:`repro.core.cfp_growth.mine_array`) with ``min_support_floor``
+    as its ``min_support``; the collector's rising heap bound reaches the
+    loop as ``collector.threshold`` and prunes the rest of the search.
+    Because the collector's k-set is order-independent, the result is
+    identical to the full enumeration's top k — the property the serving
+    parity suite holds it to.
     """
+    _check_arguments(k, min_length)
+    floor = max(1, min_support_floor)
+    collector = _TopKCollector(k, min_length, floor)
+    mine_array(array, floor, collector)
+    return collector.results()
+
+
+def _check_arguments(k: int, min_length: int) -> None:
     if k < 1:
         raise ExperimentError(f"k must be >= 1, got {k}")
     if min_length < 1:
         raise ExperimentError(f"min_length must be >= 1, got {min_length}")
-    collector = _TopKCollector(k, min_length, max(1, min_support_floor))
-    path = array.single_path()
-    if path is not None:
-        if path:
-            collector.emit_path_subsets(path, ())
-        return collector.results()
-    _mine_array(array, collector, ())
-    return collector.results()
-
-
-def _mine_array(
-    array: CfpArray, collector: _TopKCollector, suffix: tuple[int, ...]
-) -> None:
-    """The §2.1 mine loop against arrays, pruned by the rising threshold."""
-    for rank in array.active_ranks_descending():
-        support = array.rank_support(rank)
-        if support < collector.threshold:
-            continue
-        itemset = (rank,) + suffix
-        collector.emit(itemset, support)
-        chain, cond_array = _conditional_struct(array, rank, collector.threshold)
-        if chain is not None:
-            collector.emit_path_subsets(chain, itemset)
-        elif cond_array is not None:
-            cond_array.set_cache_budget(array.cache_budget)
-            _mine_array(cond_array, collector, itemset)
-
-
-def _conditional(tree: FPTree, rank: int, threshold: int) -> FPTree | None:
-    paths = []
-    counts: dict[int, int] = defaultdict(int)
-    for path_ranks, count in tree.prefix_paths(rank):
-        if path_ranks:
-            paths.append((path_ranks, count))
-            for path_rank in path_ranks:
-                counts[path_rank] += count
-    frequent = {r for r, c in counts.items() if c >= threshold}
-    if not frequent:
-        return None
-    conditional = FPTree(tree.n_ranks)
-    for path_ranks, count in paths:
-        filtered = [r for r in path_ranks if r in frequent]
-        if filtered:
-            conditional.insert(filtered, count)
-    if conditional.is_empty():
-        return None
-    return conditional

@@ -30,6 +30,7 @@ from repro.obs.tracer import (
     Tracer,
     get_tracer,
     maybe_span,
+    owned_tracer,
     set_tracer,
 )
 
@@ -43,6 +44,7 @@ __all__ = [
     "TRACE_VERSION",
     "NULL_SPAN",
     "get_tracer",
+    "owned_tracer",
     "set_tracer",
     "maybe_span",
 ]

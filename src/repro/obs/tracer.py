@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -95,9 +96,15 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects closed spans; at most one is installed process-wide."""
+    """Collects closed spans; at most one is installed process-wide.
+
+    The span stack is not thread-safe: spans may only be opened by the
+    thread that created the tracer (:attr:`owner`). Code that can also
+    run on other threads fetches the tracer with :func:`owned_tracer`.
+    """
 
     def __init__(self) -> None:
+        self.owner = threading.get_ident()
         self.records: list[SpanRecord] = []
         self.origin_unix = time.time()
         self._origin_perf = time.perf_counter()
@@ -296,6 +303,19 @@ _TRACER: Tracer | None = None
 def get_tracer() -> Tracer | None:
     """The installed tracer, or None when tracing is off (the fast path)."""
     return _TRACER
+
+
+def owned_tracer() -> Tracer | None:
+    """The installed tracer if the calling thread owns it, else None.
+
+    The query server mines on executor threads while its event loop
+    thread owns the tracer; through this lookup such a mine runs exactly
+    like an untraced one instead of corrupting the span stack.
+    """
+    tracer = _TRACER
+    if tracer is None or tracer.owner != threading.get_ident():
+        return None
+    return tracer
 
 
 def set_tracer(tracer: Tracer | None) -> Tracer | None:

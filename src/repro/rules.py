@@ -46,6 +46,24 @@ class Rule:
         )
 
 
+def check_rule_parameters(
+    min_confidence: float, max_consequent_size: int | None = None
+) -> None:
+    """Reject rule-generation parameters :func:`generate_rules` cannot honour.
+
+    ``min_confidence`` must lie in (0, 1] (NaN fails both comparisons)
+    and ``max_consequent_size``, when given, must be at least 1. Callers
+    that mine before generating rules check first, so a bad request
+    never pays for a mine.
+    """
+    if not 0.0 < min_confidence <= 1.0:
+        raise ExperimentError(f"min_confidence must be in (0, 1], got {min_confidence}")
+    if max_consequent_size is not None and max_consequent_size < 1:
+        raise ExperimentError(
+            f"max_consequent_size must be >= 1, got {max_consequent_size}"
+        )
+
+
 def generate_rules(
     itemsets: Iterable[tuple[tuple[Hashable, ...], int]] | MiningResult,
     n_transactions: int,
@@ -57,8 +75,7 @@ def generate_rules(
     ``itemsets`` must be downward-closed (the complete output of a miner),
     since antecedent/consequent supports are looked up in it.
     """
-    if not 0.0 < min_confidence <= 1.0:
-        raise ExperimentError(f"min_confidence must be in (0, 1], got {min_confidence}")
+    check_rule_parameters(min_confidence, max_consequent_size)
     if n_transactions < 1:
         raise ExperimentError("n_transactions must be positive")
     supports = {frozenset(itemset): s for itemset, s in itemsets}

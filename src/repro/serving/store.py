@@ -32,7 +32,7 @@ from repro.core.ternary import TernaryCfpTree
 from repro.errors import ReproError
 from repro.fptree.growth import ListCollector
 from repro.mining.topk import mine_top_k
-from repro.rules import Rule, also_bought, generate_rules
+from repro.rules import Rule, also_bought, check_rule_parameters, generate_rules
 from repro.storage import (
     PartitionedCfpArray,
     PooledCfpArray,
@@ -209,10 +209,20 @@ class ServingStore:
     def top_k(
         self, k: int, min_length: int = 1
     ) -> list[tuple[tuple[Hashable, ...], int]]:
-        """The k best itemsets, translated to item vocabulary."""
+        """The k best itemsets frequent at the store's ``min_support``.
+
+        That is the collection :meth:`rules` mines. Below it a ranking
+        would be incomplete, because the build dropped the infrequent
+        items. Results are in item vocabulary.
+        """
+        ranked = mine_top_k(
+            self.array,
+            k,
+            min_length=min_length,
+            min_support_floor=self.table.min_support,
+        )
         return [
-            (self.table.ranks_to_items(ranks), support)
-            for ranks, support in mine_top_k(self.array, k, min_length=min_length)
+            (self.table.ranks_to_items(ranks), support) for ranks, support in ranked
         ]
 
     def rules(
@@ -221,6 +231,7 @@ class ServingStore:
         max_consequent_size: int | None = None,
     ) -> list[Rule]:
         """The full rule set at a confidence threshold (mined lazily)."""
+        check_rule_parameters(min_confidence, max_consequent_size)
         key = (float(min_confidence), max_consequent_size)
         with self._rules_lock:
             cached = self._rules_cache.get(key)

@@ -14,9 +14,10 @@ traversal interface from a partitioned store while keeping resident only:
   the active partition's pages, and
 * the optional decoded-subarray LRU cache shared with every other reader.
 
-The mine loop (:func:`repro.core.cfp_growth.mine_array_partitioned`)
+The mine loop (:func:`repro.core.cfp_growth.mine_array`) takes its rank
+schedule from :meth:`PartitionedCfpArray.active_ranks_descending`, which
 visits partitions in descending rank order and calls
-:meth:`begin_partition` before mining each one; that hands the next
+:meth:`begin_partition` on entering each one; that hands the next
 partition(s) in schedule order to a background
 :class:`~repro.storage.bufferpool.Prefetcher`, so sequential read-ahead
 overlaps the columnar mine of the active partition. ``REPRO_PREFETCH=0``
@@ -28,6 +29,7 @@ identical with it off, dead, or fault-injected (``pagefile.prefetch``).
 from __future__ import annotations
 
 import os
+from typing import Iterator
 
 from repro.compress import varint
 from repro.core.cfp_array import CfpArray, DecodedSubarray, _SubarrayCache
@@ -146,25 +148,25 @@ class PartitionedCfpArray(CfpArray):
         self.close()
 
     # ------------------------------------------------------------------
-    # Partition scheduling (consumed by mine_array_partitioned)
+    # Partition scheduling
     # ------------------------------------------------------------------
 
-    def partitions_descending(self) -> list[PartitionInfo]:
-        """Partitions in mine order: highest (least frequent) ranks first."""
-        return list(reversed(self.partitions))
+    def active_ranks_descending(self) -> Iterator[int]:
+        """Non-empty ranks, least frequent first, partition by partition.
 
-    def active_ranks_in_partition(self, part: PartitionInfo) -> list[int]:
-        """Non-empty ranks of one partition, descending — the mine order.
-
-        Concatenated across :meth:`partitions_descending` this is exactly
-        :meth:`CfpArray.active_ranks_descending`, which is what makes the
-        partitioned mine byte-identical to the monolithic one.
+        The mine schedule: partitions are visited highest ranks first and
+        ranks descending within each, which concatenates to exactly the
+        monolithic array's order — so the out-of-core mine is
+        byte-identical to the in-core one. Entering a partition calls
+        :meth:`begin_partition`, which starts read-ahead of the next one
+        before the active partition is scanned.
         """
-        return [
-            rank
-            for rank in range(part.last_rank, part.first_rank - 1, -1)
-            if self.starts[rank + 1] > self.starts[rank]
-        ]
+        starts = self.starts
+        for part in reversed(self.partitions):
+            self.begin_partition(part.index)
+            for rank in range(part.last_rank, part.first_rank - 1, -1):
+                if starts[rank + 1] > starts[rank]:
+                    yield rank
 
     def begin_partition(self, index: int) -> None:
         """Announce that partition ``index`` is about to be mined.

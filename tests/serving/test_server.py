@@ -378,6 +378,61 @@ class TestObservability:
         assert all(s.parent_id is None for s in spans)
 
 
+    def test_executor_thread_mines_stay_untraced(self, tmp_path):
+        """Mines on executor threads must not touch the loop's tracer.
+
+        The span stack belongs to the tracer's owning thread; concurrent
+        rules/topk requests mine on executor threads and must behave like
+        untraced mines: no per-rank spans, no cache-metric publication.
+        """
+        from repro.obs.tracer import Tracer
+
+        path = tmp_path / "rand.cfpa"
+        build_store(random_database(seed=7, n_transactions=200), 3, path)
+        tracer = Tracer()
+        previous = obs.set_tracer(tracer)
+        obs.metrics.reset()
+        requests = [
+            {"op": "rules", "basket": [1], "min_confidence": confidence}
+            for confidence in (0.3, 0.5, 0.7)
+        ]
+        requests += [{"op": "topk", "k": k} for k in (3, 5, 8)]
+        try:
+            with ServingStore(path) as store:
+
+                async def client(server: ReproServer, request: dict) -> dict:
+                    reader, writer = await asyncio.open_connection(
+                        server.host, server.port
+                    )
+                    try:
+                        return await _rpc(reader, writer, request)
+                    finally:
+                        writer.close()
+
+                async def body() -> list[dict]:
+                    server = await _started(
+                        store, workers=4, registry=MetricsRegistry()
+                    )
+                    try:
+                        return await asyncio.gather(
+                            *(client(server, request) for request in requests)
+                        )
+                    finally:
+                        await server.stop()
+
+                responses = asyncio.run(body())
+        finally:
+            obs.set_tracer(previous)
+        assert all(response["ok"] for response in responses), responses
+        assert not [r for r in tracer.records if r.name == "mine_rank"]
+        roots = [r for r in tracer.records if r.parent_id is None]
+        assert len(roots) == len(tracer.records) == len(requests)
+        assert {r.name for r in roots} == {"serve_request"}
+        assert not [
+            name for name in obs.metrics.counters() if name.startswith("subarray_cache.")
+        ]
+
+
 class TestLoadHarness:
     def test_64_concurrent_clients_verified(self, tmp_path):
         database = random_database(seed=23, n_transactions=120, n_items=16)

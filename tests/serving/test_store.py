@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cfp_growth import cfp_growth
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
+from repro.errors import ExperimentError
 from repro.mining.topk import mine_top_k
 from repro.rules import mine_rules
 from repro.serving.store import (
@@ -173,9 +175,29 @@ class TestQueryParity:
             for k in (1, 3, 10, 50):
                 expected = [
                     (table.ranks_to_items(ranks), support)
-                    for ranks, support in mine_top_k(array, k)
+                    for ranks, support in mine_top_k(
+                        array, k, min_support_floor=MIN_SUPPORT
+                    )
                 ]
                 assert store.top_k(k) == expected, k
+
+    def test_top_k_excludes_itemsets_below_min_support(self, tmp_path):
+        # Regression: top_k mined with floor 1, so pairs of support 2
+        # filled the k slots of a store built at min_support 3.
+        database = [
+            [1, 2, 4, 6], [3, 6], [2], [2, 6], [1, 3, 4, 6],
+            [1, 3, 4, 5], [5], [2, 3, 5], [1, 2, 4, 5], [2, 3],
+        ]
+        path = tmp_path / "floor.cfpa"
+        build_store(database, 3, path)
+        frequent = {
+            (frozenset(items), support)
+            for items, support in cfp_growth(database, 3)
+        }
+        with ServingStore(path) as store:
+            top = store.top_k(9)
+        assert {(frozenset(items), support) for items, support in top} == frequent
+        assert len(top) == len(frequent) == 7
 
     def test_rules_match_mine_rules(self, store_path):
         database = paper_example_database()
@@ -216,6 +238,33 @@ class TestQueryParity:
                 assert store.support(items) == itemset_support(
                     array, table, items
                 )
+
+
+class TestRulesValidation:
+    """Bad rule parameters are rejected before any mine runs."""
+
+    @pytest.mark.parametrize(
+        "min_confidence, max_consequent_size",
+        [
+            (0.0, None),
+            (-0.5, None),
+            (1.5, None),
+            (float("nan"), None),
+            (0.5, 0),
+            (0.5, -1),
+        ],
+    )
+    def test_rejected_without_mining(
+        self, store_path, monkeypatch, min_confidence, max_consequent_size
+    ):
+        def no_mine(*args, **kwargs):
+            raise AssertionError("rules mined before validating")
+
+        monkeypatch.setattr("repro.serving.store.mine_array", no_mine)
+        with ServingStore(store_path) as store:
+            with pytest.raises(ExperimentError):
+                store.rules(min_confidence, max_consequent_size)
+            assert store._rules_cache == {}
 
 
 class TestConcurrentStoreAccess:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core.cfp_growth import mine_array, mine_array_partitioned
+from repro.core.cfp_growth import mine_array
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.fptree.growth import ListCollector
@@ -192,7 +192,7 @@ class TestPartitionedMining:
                 path, pool_pages=pool_pages, hot_bytes=hot
             ) as disk:
                 got = ListCollector()
-                mine_array_partitioned(disk, MIN_SUPPORT, got)
+                mine_array(disk, MIN_SUPPORT, got)
             assert got.itemsets == reference.itemsets, (target, hot)
 
     def test_mining_with_prefetch_disabled_is_identical(
@@ -206,7 +206,7 @@ class TestPartitionedMining:
         with PartitionedCfpArray(path, pool_pages=2) as disk:
             assert disk._prefetcher is None
             got = ListCollector()
-            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
         assert got.itemsets == reference.itemsets
 
     def test_traversal_interface_matches_in_core(self, array, tmp_path):
@@ -264,7 +264,7 @@ class TestCompaction:
         assert parts_after < parts_before
         with PartitionedCfpArray(path, pool_pages=4) as disk:
             got = ListCollector()
-            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
         assert got.itemsets == reference.itemsets
 
     def test_compaction_converges(self, array, tmp_path):

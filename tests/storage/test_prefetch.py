@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro import faultinject, obs
-from repro.core.cfp_growth import mine_array, mine_array_partitioned
+from repro.core.cfp_growth import mine_array
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.fptree.growth import ListCollector
@@ -140,7 +140,7 @@ class TestPrefetcherThread:
         faultinject.install("pagefile.prefetch:flake:times=2")
         with PartitionedCfpArray(store, pool_pages=4) as disk:
             got = ListCollector()
-            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
             disk.prefetch_drain()
             assert disk._prefetcher is not None and disk._prefetcher.alive
             assert disk.pool.stats.prefetch_errors >= 1
@@ -150,7 +150,7 @@ class TestPrefetcherThread:
         faultinject.install("pagefile.prefetch:raise")
         with PartitionedCfpArray(store, pool_pages=4) as disk:
             got = ListCollector()
-            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
             disk.prefetch_drain()
             prefetcher = disk._prefetcher
             assert prefetcher is not None and not prefetcher.alive
@@ -167,7 +167,7 @@ class TestPrefetcherThread:
         with PartitionedCfpArray(store, pool_pages=4) as disk:
             assert disk._prefetcher is None
             got = ListCollector()
-            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
             assert disk.pool.stats.prefetched == 0
         assert got.itemsets == reference
 
@@ -176,7 +176,7 @@ class TestPrefetcherThread:
         with PartitionedCfpArray(store, pool_pages=8) as disk:
             assert disk._prefetch_depth == 3
             got = ListCollector()
-            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
             disk.prefetch_drain()
             assert disk.pool.stats.prefetch_requests > 0
         assert got.itemsets == reference
@@ -185,7 +185,7 @@ class TestPrefetcherThread:
         """The counter the bench gates on: read-ahead must actually hit."""
         with PartitionedCfpArray(store, pool_pages=8) as disk:
             got = ListCollector()
-            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
             disk.prefetch_drain()
             stats = disk.pool.stats
         if stats.prefetched:

@@ -1,11 +1,17 @@
 """Tests for memory-budgeted mining."""
 
+import random
+
 import pytest
 
+from repro import obs
 from repro.budget import mine_with_budget
 from repro.core.cfp_growth import cfp_growth
 from repro.errors import ExperimentError
+from repro.obs.tracer import Tracer
+from repro.storage.bufferpool import Prefetcher
 from repro.storage.pagefile import PAGE_SIZE
+from repro.util.items import prepare_transactions
 from tests.conftest import normalize, random_database
 
 
@@ -69,26 +75,36 @@ class TestPartitionedSpill:
         assert report.bytes_read > 0
         assert normalize(itemsets) == expected
 
-    def test_legacy_path_still_available(self, workload, tmp_path):
-        db, expected = workload
-        itemsets, report = mine_with_budget(
-            db, 5, memory_budget=2 * PAGE_SIZE, spill_dir=tmp_path,
-            partitioned=False,
-        )
-        assert report.went_out_of_core
-        assert report.partitions == 0  # monolithic spill has no manifest
-        assert normalize(itemsets) == expected
 
-    def test_partitioned_and_legacy_agree(self, workload, tmp_path):
-        db, __ = workload
-        tiered, __ = mine_with_budget(
-            db, 5, memory_budget=2 * PAGE_SIZE, spill_dir=tmp_path
-        )
-        legacy, __ = mine_with_budget(
-            db, 5, memory_budget=2 * PAGE_SIZE, spill_dir=tmp_path,
-            partitioned=False,
-        )
-        assert normalize(tiered) == normalize(legacy)
+class TestTracedOutOfCore:
+    """The partitioned mine runs through the shared, traced driver."""
+
+    def test_one_span_per_active_rank(self, tmp_path, monkeypatch):
+        rng = random.Random(23)
+        db = [rng.sample(range(80), rng.randint(2, 4)) for __ in range(1500)]
+
+        def prefetch_now(self, first_page, n_pages):
+            # Load each read-ahead at once, so the hit count does not
+            # depend on when the prefetch thread gets scheduled.
+            self._pool.prefetch_pages(first_page, n_pages)
+            return True
+
+        monkeypatch.setattr(Prefetcher, "request", prefetch_now)
+        budget = 2 * PAGE_SIZE
+        untraced, __ = mine_with_budget(db, 5, budget, spill_dir=tmp_path)
+        tracer = Tracer()
+        previous = obs.set_tracer(tracer)
+        try:
+            itemsets, report = mine_with_budget(db, 5, budget, spill_dir=tmp_path)
+        finally:
+            obs.set_tracer(previous)
+        assert report.went_out_of_core and report.partitions > 1
+        assert itemsets == untraced
+        assert normalize(itemsets) == normalize(cfp_growth(db, 5))
+        table, __ = prepare_transactions(db, 5)
+        spans = [r for r in tracer.records if r.name == "mine_rank"]
+        assert [s.attrs["rank"] for s in spans] == list(range(len(table), 0, -1))
+        assert report.prefetch_hits > 0
 
 
 class TestValidation:
