@@ -185,6 +185,11 @@ class _SubarrayCache:
             self._entries[rank] = (triples, charge)
             self.used_bytes += charge
 
+    def usage(self) -> dict[str, int]:
+        """Resident entries and their charged bytes."""
+        with self._lock:
+            return {"entries": len(self._entries), "bytes": self.used_bytes}
+
     def counts(self) -> dict[str, int]:
         """Current counter values, for delta-based publication."""
         with self._lock:
@@ -271,6 +276,12 @@ class CfpArray:
         if self._cache is None:
             return {"hits": 0, "misses": 0, "evictions": 0, "rejected": 0}
         return self._cache.counts()
+
+    def cache_usage(self) -> dict[str, int]:
+        """Subarray-cache residency: entries and decoded bytes (0 when off)."""
+        if self._cache is None:
+            return {"entries": 0, "bytes": 0}
+        return self._cache.usage()
 
     def publish_cache_metrics(
         self, registry: MetricsRegistry, baseline: dict[str, int] | None = None

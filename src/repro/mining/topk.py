@@ -51,7 +51,7 @@ class _TopKCollector:
     """Size-k min-heap with a rising threshold.
 
     Satisfies the :class:`repro.core.cfp_growth.SupportCollector`
-    protocol. Two properties the serving layer leans on:
+    protocol. Two properties make its answer exact:
 
     * **dedup** — an itemset reachable through several prefix paths may be
       emitted more than once by an enumerator; a membership set keeps one
@@ -124,7 +124,7 @@ def top_k_itemsets(
     min_support_floor: int = 1,
 ) -> list[tuple[tuple[Hashable, ...], int]]:
     """The ``k`` highest-support itemsets (ties broken lexicographically)."""
-    _check_arguments(k, min_length)
+    check_top_k_arguments(k, min_length)
     table, transactions = prepare_transactions(database, min_support_floor)
     array = convert(TernaryCfpTree.from_rank_transactions(transactions, len(table)))
     return [
@@ -141,23 +141,36 @@ def mine_top_k(
 ) -> list[tuple[tuple[int, ...], int]]:
     """Top-k over a built CFP-array, in rank vocabulary.
 
-    The serving-layer entry point: the array is long-lived (loaded once,
-    queried many times). The mine is the ordinary §2.1 loop
-    (:func:`repro.core.cfp_growth.mine_array`) with ``min_support_floor``
-    as its ``min_support``; the collector's rising heap bound reaches the
-    loop as ``collector.threshold`` and prunes the rest of the search.
-    Because the collector's k-set is order-independent, the result is
-    identical to the full enumeration's top k — the property the serving
-    parity suite holds it to.
+    For a raw database mined at a low floor, where the full itemset list
+    cannot be enumerated (a serving store, which already has its
+    ``min_support`` collection, slices that instead). The mine is the
+    ordinary §2.1 loop (:func:`repro.core.cfp_growth.mine_array`) with
+    ``min_support_floor`` as its ``min_support``; the collector's rising
+    heap bound reaches the loop as ``collector.threshold`` and prunes the
+    rest of the search. With ``min_length == 1`` the bound starts at the
+    k-th largest item support instead of the floor. Because the
+    collector's k-set is order-independent, the result is identical to
+    the full enumeration's top k.
     """
-    _check_arguments(k, min_length)
+    check_top_k_arguments(k, min_length)
     floor = max(1, min_support_floor)
+    if min_length == 1:
+        # Any k singletons bound the k-th best support from below, so the
+        # k-th largest item support is a sound starting threshold. Take it
+        # over the supports, not rank k: a frozen streaming table leaves
+        # rank order != support order.
+        supports = heapq.nlargest(
+            k, map(array.rank_support, array.active_ranks_descending())
+        )
+        if len(supports) == k:
+            floor = max(floor, supports[-1])
     collector = _TopKCollector(k, min_length, floor)
     mine_array(array, floor, collector)
     return collector.results()
 
 
-def _check_arguments(k: int, min_length: int) -> None:
+def check_top_k_arguments(k: int, min_length: int) -> None:
+    """Reject a top-k query no ranking can answer (``k`` or ``min_length`` < 1)."""
     if k < 1:
         raise ExperimentError(f"k must be >= 1, got {k}")
     if min_length < 1:

@@ -103,7 +103,9 @@ def generate_rules(
                     merged.add(candidate)
             consequents = list(merged)
             _emit(rules, supports, itemset, support, consequents, n_transactions)
-    rules.sort(key=lambda r: (-r.confidence, -r.support, repr(r.antecedent)))
+    # (antecedent, consequent) identifies a rule, so the key is total and
+    # the list does not depend on the order the itemsets arrive in.
+    rules.sort(key=lambda r: (-r.confidence, -r.support, repr(r.antecedent), repr(r.consequent)))
     return rules
 
 

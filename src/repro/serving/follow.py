@@ -226,6 +226,11 @@ class FollowingStore:
             assert self._store is not None
             return self._store.resident_bytes
 
+    def cache_stats(self) -> dict[str, dict[str, int]]:
+        with self._lock:
+            assert self._store is not None
+            return self._store.cache_stats()
+
     def support(self, items: Iterable[Hashable]) -> int:
         with self._pinned() as store:
             return store.support(items)

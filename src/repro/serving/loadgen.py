@@ -195,8 +195,9 @@ async def _run_load_async(
     latencies: list[float] = []
     counters: dict[str, int] = {"errors": 0, "mismatches": 0}
     try:
-        # The parity oracle warms the rules cache too, so the measured
-        # run exercises serving, not the one-off lazy rule mine.
+        # The parity oracle warms the frequent-itemset list and the rules
+        # cache too, so the measured run exercises serving, not the
+        # one-off lazy mine.
         oracle: dict[Any, Any] = {}
         per_client = [
             _build_queries(store, requests_per_client, seed + index, mix, oracle)

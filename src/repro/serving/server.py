@@ -401,6 +401,7 @@ class ReproServer:
             "draining": self._draining,
             "resident_bytes": self.store.resident_bytes,
             "memory_budget": self.memory_budget,
+            "caches": self.store.cache_stats(),
             "pool": {
                 "hits": pool_stats.hits,
                 "faults": pool_stats.faults,

@@ -11,7 +11,8 @@ the item table (items with supports, in rank order), the build's
 :class:`repro.storage.PooledCfpArray` for monolithic (v2) stores, a
 :class:`repro.storage.PartitionedCfpArray` for partitioned (v3) ones —
 and exposes the three query families the server serves: itemset support,
-top-k, and "also bought" rule recommendations.
+top-k, and "also bought" rule recommendations. Top-k and rules both read
+one frequent-itemset list, mined once per store on first use.
 
 The sidecar stores the table's :meth:`repro.util.items.ItemTable.fingerprint`
 and the load path re-verifies it, so an item vocabulary that did not
@@ -23,15 +24,18 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
-from typing import Hashable, Iterable
+from collections import OrderedDict
+from itertools import islice
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.core.cfp_growth import DEFAULT_CACHE_BUDGET, mine_array
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.errors import ReproError
 from repro.fptree.growth import ListCollector
-from repro.mining.topk import mine_top_k
+from repro.mining.topk import check_top_k_arguments
 from repro.rules import Rule, also_bought, check_rule_parameters, generate_rules
 from repro.storage import (
     PartitionedCfpArray,
@@ -51,6 +55,12 @@ SIDECAR_SUFFIX = ".items.json"
 #: default because a server's working set is the whole array, not one
 #: conditional chain.
 DEFAULT_POOL_PAGES = 256
+
+#: Rule sets a store keeps, one per ``(min_confidence,
+#: max_consequent_size)`` key, least recently used evicted first. The key
+#: is the client's float, so the cache must be bounded; a few entries
+#: hold every confidence a deployment's clients actually use.
+RULES_CACHE_ENTRIES = 4
 
 
 class StoreError(ReproError):
@@ -124,10 +134,11 @@ class ServingStore:
 
     All query methods are thread-safe — the underlying pool and decoded-
     subarray cache carry their own locks — so the server may call them
-    from executor threads concurrently. Rule generation is lazy: the
-    first rules query mines the full itemset collection once (under a
-    lock, so concurrent first queries do not mine twice) and caches the
-    derived rule list per confidence threshold.
+    from executor threads concurrently. The first top-k or rules query
+    mines the store's frequent itemsets once (under a lock, so concurrent
+    first queries do not mine twice) into one list ordered (support desc,
+    ranks asc); top-k slices it and rules are derived from it, cached per
+    confidence threshold in a :data:`RULES_CACHE_ENTRIES`-entry LRU.
     """
 
     def __init__(
@@ -175,8 +186,14 @@ class ServingStore:
             self.array = PooledCfpArray(
                 array_path, pool_pages, cache_budget, verify=verify
             )
+        self._frequent_lock = threading.Lock()
+        self._frequent: list[tuple[tuple[Hashable, ...], int]] | None = None
+        self._frequent_bytes = 0
         self._rules_lock = threading.Lock()
-        self._rules_cache: dict[tuple[float, int | None], list[Rule]] = {}
+        self._rules_cache: OrderedDict[
+            tuple[float, int | None], tuple[list[Rule], int]
+        ] = OrderedDict()
+        self._rules_bytes = 0
 
     @staticmethod
     def _read_sidecar(path: str) -> dict:
@@ -206,50 +223,72 @@ class ServingStore:
         """Absolute support of an itemset (0 for unknown items)."""
         return itemset_support(self.array, self.table, items)
 
+    def _frequent_itemsets(self) -> list[tuple[tuple[Hashable, ...], int]]:
+        """Every itemset frequent at ``min_support``, mined on first use.
+
+        Ordered (support desc, sorted ranks asc) — the order
+        :func:`repro.mining.mine_top_k` reports — with each itemset in
+        item vocabulary, its items in rank order.
+        """
+        with self._frequent_lock:
+            if self._frequent is None:
+                collector = ListCollector()
+                mine_array(self.array, self.table.min_support, collector)
+                ranked = sorted(
+                    ((tuple(sorted(ranks)), support) for ranks, support in collector.itemsets),
+                    key=lambda entry: (-entry[1], entry[0]),
+                )
+                frequent = [
+                    (self.table.ranks_to_items(ranks), support)
+                    for ranks, support in ranked
+                ]
+                self._frequent_bytes = _entries_bytes(frequent, lambda e: e)
+                self._frequent = frequent
+            return self._frequent
+
     def top_k(
         self, k: int, min_length: int = 1
     ) -> list[tuple[tuple[Hashable, ...], int]]:
         """The k best itemsets frequent at the store's ``min_support``.
 
-        That is the collection :meth:`rules` mines. Below it a ranking
+        That is the collection :meth:`rules` reads. Below it a ranking
         would be incomplete, because the build dropped the infrequent
         items. Results are in item vocabulary.
         """
-        ranked = mine_top_k(
-            self.array,
-            k,
-            min_length=min_length,
-            min_support_floor=self.table.min_support,
+        check_top_k_arguments(k, min_length)
+        long_enough = (
+            entry for entry in self._frequent_itemsets() if len(entry[0]) >= min_length
         )
-        return [
-            (self.table.ranks_to_items(ranks), support) for ranks, support in ranked
-        ]
+        return list(islice(long_enough, k))
 
     def rules(
         self,
         min_confidence: float = 0.5,
         max_consequent_size: int | None = None,
     ) -> list[Rule]:
-        """The full rule set at a confidence threshold (mined lazily)."""
+        """The full rule set at a confidence threshold (derived lazily)."""
         check_rule_parameters(min_confidence, max_consequent_size)
         key = (float(min_confidence), max_consequent_size)
         with self._rules_lock:
             cached = self._rules_cache.get(key)
-            if cached is None:
-                collector = ListCollector()
-                mine_array(self.array, self.table.min_support, collector)
-                itemsets = [
-                    (self.table.ranks_to_items(ranks), support)
-                    for ranks, support in collector.itemsets
-                ]
-                cached = generate_rules(
-                    itemsets,
-                    self.n_transactions,
-                    min_confidence,
-                    max_consequent_size,
-                )
-                self._rules_cache[key] = cached
-        return cached
+            if cached is not None:
+                self._rules_cache.move_to_end(key)
+                return cached[0]
+            rules = generate_rules(
+                self._frequent_itemsets(),
+                self.n_transactions,
+                min_confidence,
+                max_consequent_size,
+            )
+            charge = _entries_bytes(
+                rules, lambda rule: (vars(rule), *vars(rule).values())
+            )
+            self._rules_cache[key] = (rules, charge)
+            self._rules_bytes += charge
+            if len(self._rules_cache) > RULES_CACHE_ENTRIES:
+                __, (__, evicted) = self._rules_cache.popitem(last=False)
+                self._rules_bytes -= evicted
+        return rules
 
     def also_bought(
         self,
@@ -267,10 +306,35 @@ class ServingStore:
         """Long-lived memory the store holds (admission-control input).
 
         Covers the array reader (pool + item index + cache budget + any
-        pinned hot set) *and* the item-table sidecar, whose parsed
-        vocabulary stays resident for the life of the store.
+        pinned hot set), the item-table sidecar, whose parsed vocabulary
+        stays resident for the life of the store, and the frequent-itemset
+        list and cached rule sets once queries have built them.
         """
-        return self.array.memory_bytes + self._sidecar_bytes
+        return (
+            self.array.memory_bytes
+            + self._sidecar_bytes
+            + self._frequent_bytes
+            + self._rules_bytes
+        )
+
+    def cache_stats(self) -> dict[str, dict[str, int]]:
+        """Entries and bytes of the frequent list, rule cache and subarray cache.
+
+        Reads counters without taking the query locks, so a caller on the
+        server's event loop never waits behind a mine.
+        """
+        frequent = self._frequent
+        return {
+            "frequent": {
+                "entries": 0 if frequent is None else len(frequent),
+                "bytes": self._frequent_bytes,
+            },
+            "rules": {
+                "entries": len(self._rules_cache),
+                "bytes": self._rules_bytes,
+            },
+            "subarray": self.array.cache_usage(),
+        }
 
     def close(self) -> None:
         self.array.close()
@@ -288,8 +352,20 @@ class ServingStore:
         )
 
 
+def _entries_bytes(entries: list, fields: Callable[[Any], Iterable[object]]) -> int:
+    """Bytes a cached result list holds: the list, its entries, their fields.
+
+    Items are shared with the item table and not counted again.
+    """
+    return sys.getsizeof(entries) + sum(
+        sys.getsizeof(entry) + sum(map(sys.getsizeof, fields(entry)))
+        for entry in entries
+    )
+
+
 __all__ = [
     "DEFAULT_POOL_PAGES",
+    "RULES_CACHE_ENTRIES",
     "SIDECAR_SUFFIX",
     "ServingStore",
     "StoreError",

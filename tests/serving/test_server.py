@@ -200,6 +200,14 @@ class TestProtocolParity:
                 response = await _rpc(reader, writer, {"op": "stats"})
                 assert response["ok"] is True
                 assert response["result"]["max_inflight"] == server.max_inflight
+                await _rpc(reader, writer, {"op": "topk", "k": 2})
+                response = await _rpc(reader, writer, {"op": "stats"})
+                caches = response["result"]["caches"]
+                assert caches == store.cache_stats()
+                assert set(caches) == {"frequent", "rules", "subarray"}
+                assert caches["frequent"]["entries"] > 0
+                assert caches["frequent"]["bytes"] > 0
+                assert caches["rules"] == {"entries": 0, "bytes": 0}
                 writer.close()
             finally:
                 await server.stop()

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cfp_growth import cfp_growth
+from repro.algorithms.bruteforce import brute_force
+from repro.core.cfp_growth import cfp_growth, mine_array
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.errors import ExperimentError
 from repro.mining.topk import mine_top_k
 from repro.rules import mine_rules
 from repro.serving.store import (
+    RULES_CACHE_ENTRIES,
     ServingStore,
     StoreError,
     build_store,
@@ -238,6 +240,153 @@ class TestQueryParity:
                 assert store.support(items) == itemset_support(
                     array, table, items
                 )
+
+
+class TestServedFromFrequentList:
+    """top_k and rules read one frequent-itemset list, mined once per store."""
+
+    @staticmethod
+    def _brute_top_k(database, min_support, table, k, min_length=1):
+        ranked = sorted(
+            (tuple(sorted(table.rank_of[item] for item in items)), support)
+            for items, support in brute_force(database, min_support)
+            if len(items) >= min_length
+        )
+        ranked.sort(key=lambda entry: -entry[1])
+        return [(table.ranks_to_items(ranks), s) for ranks, s in ranked[:k]]
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_top_k_at_the_edges(self, tmp_path, seed):
+        database = random_database(seed=seed, n_transactions=60)
+        path = tmp_path / "edges.cfpa"
+        build_store(database, 3, path)
+        table, transactions = prepare_transactions(database, 3)
+        array = convert(TernaryCfpTree.from_rank_transactions(transactions, len(table)))
+        n_frequent = len(brute_force(database, 3))
+        longest = max(len(items) for items, __ in brute_force(database, 3))
+        with ServingStore(path) as store:
+            for k, min_length in [
+                (1, 1), (5, 2), (n_frequent, 1), (n_frequent + 7, 1),
+                (n_frequent + 7, 2), (3, longest), (10, longest + 1),
+            ]:
+                expected = [
+                    (table.ranks_to_items(ranks), support)
+                    for ranks, support in mine_top_k(
+                        array, k, min_length, min_support_floor=3
+                    )
+                ]
+                got = store.top_k(k, min_length)
+                assert got == expected, (k, min_length)
+                assert got == self._brute_top_k(database, 3, table, k, min_length)
+            assert store.top_k(10, longest + 1) == []
+            for k, min_length in [(0, 1), (-1, 1), (1, 0)]:
+                with pytest.raises(ExperimentError):
+                    store.top_k(k, min_length)
+
+    @pytest.fixture
+    def mines(self, monkeypatch):
+        """Top-level mines run, by every name a serving query could use."""
+        calls: list = []
+
+        def counting(array, *args, **kwargs):
+            calls.append(array)
+            return mine_array(array, *args, **kwargs)
+
+        monkeypatch.setattr("repro.serving.store.mine_array", counting)
+        monkeypatch.setattr("repro.mining.topk.mine_array", counting)
+        return calls
+
+    def test_one_mine_per_store(self, store_path, mines):
+        with ServingStore(store_path) as store:
+            store.top_k(3)
+            store.rules(0.6)
+            store.top_k(5, min_length=2)
+            for confidence in (0.3, 0.5, 0.7, 0.9, 0.95, 0.6):
+                store.also_bought([1], min_confidence=confidence)
+            store.top_k(50)
+        assert len(mines) == 1
+
+    def test_concurrent_first_queries_mine_once(self, store_path, mines):
+        import sys
+        import threading
+
+        confidences = [0.2, 0.4, 0.5, 0.6, 0.8, 0.9]
+        expected_rules = {
+            c: mine_rules(paper_example_database(), MIN_SUPPORT, c) for c in confidences
+        }
+        failures: list[str] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServingStore(store_path) as store:
+                expected_top = self._brute_top_k(
+                    paper_example_database(), MIN_SUPPORT, store.table, 6
+                )
+
+                def worker(offset: int) -> None:
+                    for step in range(12):
+                        confidence = confidences[(offset + step) % len(confidences)]
+                        if store.rules(confidence) != expected_rules[confidence]:
+                            failures.append(f"rules {confidence}")
+                        if store.top_k(6) != expected_top:
+                            failures.append("top_k")
+
+                threads = [
+                    threading.Thread(target=worker, args=(offset,)) for offset in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = store.cache_stats()["rules"]
+                assert stats["entries"] == RULES_CACHE_ENTRIES
+                assert stats["bytes"] == sum(
+                    charge for __, charge in store._rules_cache.values()
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert len(mines) == 1
+
+    def test_rules_cache_is_bounded_lru(self, store_path):
+        confidences = [0.1 * step for step in range(1, RULES_CACHE_ENTRIES + 4)]
+        with ServingStore(store_path) as store:
+            for confidence in confidences:
+                store.rules(confidence)
+                stats = store.cache_stats()["rules"]
+                assert stats["entries"] <= RULES_CACHE_ENTRIES
+            assert len(store._rules_cache) == RULES_CACHE_ENTRIES
+            # The newest keys stay; a re-derived evicted key is still exact.
+            kept = confidences[-RULES_CACHE_ENTRIES:]
+            assert list(store._rules_cache) == [(c, None) for c in kept]
+            assert stats["bytes"] == sum(
+                charge for __, charge in store._rules_cache.values()
+            )
+            assert store.rules(confidences[0]) == mine_rules(
+                paper_example_database(), MIN_SUPPORT, confidences[0]
+            )
+            assert len(store._rules_cache) == RULES_CACHE_ENTRIES
+
+    def test_resident_bytes_counts_the_lists(self, store_path):
+        with ServingStore(store_path) as store:
+            empty = store.cache_stats()
+            assert empty["frequent"] == {"entries": 0, "bytes": 0}
+            assert empty["rules"] == {"entries": 0, "bytes": 0}
+            before = store.resident_bytes
+            store.top_k(1)
+            after_top_k = store.resident_bytes
+            assert after_top_k > before
+            stats = store.cache_stats()
+            assert stats["frequent"]["entries"] == len(
+                cfp_growth(paper_example_database(), MIN_SUPPORT)
+            )
+            assert after_top_k - before == stats["frequent"]["bytes"]
+            store.rules(0.5)
+            assert store.resident_bytes - after_top_k == (
+                store.cache_stats()["rules"]["bytes"]
+            ) > 0
+            assert stats["subarray"]["entries"] > 0
 
 
 class TestRulesValidation:

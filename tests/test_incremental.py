@@ -378,6 +378,31 @@ class TestFollowingStore:
             assert store.refresh() is False  # nothing new
             assert obs.metrics.get("serving.generation") == 2  # init + flip
 
+    def test_top_k_after_a_flip_reads_the_new_generation(self, tmp_path):
+        first = random_database(25, n_transactions=50)
+        second = random_database(26, n_transactions=50)
+        table = _table([first, second], min_support=3)
+        manager = SnapshotManager(tmp_path)
+
+        def expected(window):
+            collector = ListCollector()
+            mine_array(_static_array(table, window), table.min_support, collector)
+            ranked = sorted(
+                ((tuple(sorted(ranks)), support) for ranks, support in collector.itemsets),
+                key=lambda entry: (-entry[1], entry[0]),
+            )
+            return [(table.ranks_to_items(ranks), s) for ranks, s in ranked[:12]]
+
+        self._publish_window(manager, table, first)
+        with FollowingStore(tmp_path, pool_pages=32) as store:
+            assert store.top_k(12) == expected(first)
+            old_entries = store.cache_stats()["frequent"]["entries"]
+            self._publish_window(manager, table, second)
+            assert store.refresh() is True
+            assert store.cache_stats()["frequent"]["entries"] == 0
+            assert store.top_k(12) == expected(second) != expected(first)
+            assert old_entries > 0
+
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(SnapshotError, match="no loadable snapshot"):
             FollowingStore(tmp_path / "nothing")

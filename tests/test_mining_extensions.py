@@ -206,6 +206,18 @@ class TestRules:
         confidences = [r.confidence for r in rules]
         assert confidences == sorted(confidences, reverse=True)
 
+    def test_order_independent_of_itemset_order(self):
+        # Rules sharing an antecedent, confidence and support used to keep
+        # the order their itemsets arrived in.
+        import random
+
+        itemsets = list(brute_force(self.DB, 1))
+        expected = generate_rules(itemsets, len(self.DB), 0.3)
+        rng = random.Random(7)
+        shuffles = [rng.sample(itemsets, len(itemsets)) for _ in range(5)]
+        for order in [itemsets[::-1], *shuffles]:
+            assert generate_rules(order, len(self.DB), 0.3) == expected
+
 
 class TestSampling:
     def test_full_sample_is_exact(self, small_db):

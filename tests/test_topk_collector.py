@@ -24,13 +24,15 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.bruteforce import brute_force
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.fptree.growth import fp_growth
 from repro.mining import mine_top_k, top_k_itemsets
 from repro.mining.topk import _TopKCollector
+from repro.streaming import CountingPhase
 from repro.util.items import prepare_transactions
-from tests.conftest import db_strategy
+from tests.conftest import db_strategy, random_database
 
 
 class TestDuplicateEmissions:
@@ -127,3 +129,46 @@ class TestTreeArrayParity:
         results = mine_top_k(array, k, min_length=2)
         assert results == canonical_top_k(database, k, min_length=2)
         assert all(len(ranks) >= 2 for ranks, __ in results)
+
+
+def brute_top_k(rank_transactions, k):
+    """The spec over rank transactions, from the brute-force oracle."""
+    ranked = sorted(
+        (tuple(sorted(ranks)), support)
+        for ranks, support in brute_force(rank_transactions, 1)
+    )
+    ranked.sort(key=lambda e: -e[1])
+    return ranked[:k]
+
+
+class TestSeededThreshold:
+    """With min_length 1 the bound starts at the k-th largest item support."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(db_strategy, st.integers(min_value=1, max_value=14))
+    def test_matches_brute_force(self, database, k):
+        # Items are 0..9, so k reaches past the number of ranks.
+        table, transactions = prepare_transactions(database, 1)
+        if not table:
+            return
+        array = convert(
+            TernaryCfpTree.from_rank_transactions(transactions, len(table))
+        )
+        assert mine_top_k(array, k) == brute_top_k(transactions, k)
+
+    def test_frozen_table_window(self):
+        # A streaming table is frozen over the whole stream, so within one
+        # window the rank order is not the support order: here the stream
+        # favours low items and the window high ones.
+        stream = random_database(20, n_transactions=150)
+        recent = [[11 - item for item in t] for t in random_database(21, n_transactions=50)]
+        counting = CountingPhase()
+        counting.add_batch(stream)
+        counting.add_batch(recent)
+        table = counting.finish(1)
+        window = [sorted(table.rank_of[item] for item in t) for t in recent]
+        array = convert(TernaryCfpTree.from_rank_transactions(window, len(table)))
+        supports = [array.rank_support(rank) for rank in range(1, len(table) + 1)]
+        assert supports != sorted(supports, reverse=True)
+        for k in (1, 2, 3, 5, 8, 10, 30, 200):
+            assert mine_top_k(array, k) == brute_top_k(window, k), k
