@@ -251,6 +251,11 @@ def measure_trace_overhead(
 #: bytes of budget — the headline configuration the tiered store exists for.
 OUTOFCORE_RATIO = 10
 
+#: Hard gate on the out-of-core leg's reads: at most this many times
+#: ``partitions × array_bytes``. Each partition's projection sweep reads
+#: every subarray at most once, plus page rounding and read-ahead.
+OUTOFCORE_MAX_READ_FACTOR = 2
+
 
 def _quest_ooc(quick: bool) -> tuple[list[list[int]], int]:
     """Dedicated out-of-core dataset: wide vocabulary, low sharing.
@@ -276,15 +281,18 @@ def bench_outofcore(database: list[list[int]], min_support: int) -> dict:
     """Mine one dataset in-core and partitioned-out-of-core; compare.
 
     The budget is ``array_bytes / OUTOFCORE_RATIO`` (floored at three
-    pages) and splits the way :func:`repro.budget.mine_with_budget` does:
-    a quarter pins the hot set, the rest backs the pool, partitions sized
-    to half the pool. The leg is a correctness gate as much as a perf
-    probe: the partitioned itemsets must be identical to the in-core
-    mine's, and the prefetcher must actually hit (``prefetch_hits > 0``)
-    or the read-ahead machinery has silently stopped earning its thread.
+    pages) and splits by :func:`repro.budget.spill_plan`, as
+    :func:`repro.budget.mine_with_budget` does. The leg is a correctness
+    gate as much as a perf probe: the partitioned itemsets must be
+    identical to the in-core mine's, bytes read may be at most
+    :data:`OUTOFCORE_MAX_READ_FACTOR` × partitions × array bytes (one
+    projection sweep per partition reads each subarray at most once),
+    and the prefetcher must actually hit (``prefetch_hits > 0``) or the
+    read-ahead machinery has silently stopped earning its thread.
     """
     import tempfile
 
+    from repro.budget import spill_plan
     from repro.fptree.growth import ListCollector
     from repro.storage import (
         PAGE_SIZE,
@@ -306,16 +314,15 @@ def bench_outofcore(database: list[list[int]], min_support: int) -> dict:
     incore_wall = time.perf_counter() - started
 
     budget = max(3 * PAGE_SIZE, array_bytes // OUTOFCORE_RATIO)
-    hot_bytes = budget // 4
-    pool_budget = budget - hot_bytes
-    pool_pages = max(2, pool_budget // PAGE_SIZE)
-    partition_bytes = max(PAGE_SIZE, pool_budget // 2)
+    plan = spill_plan(budget)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-ooc-") as tmp:
         path = f"{tmp}/ooc.cfpa"
-        save_cfp_array_partitioned(array, path, partition_bytes=partition_bytes)
+        save_cfp_array_partitioned(
+            array, path, partition_bytes=plan.partition_bytes
+        )
         with PartitionedCfpArray(
-            path, pool_pages=pool_pages, hot_bytes=hot_bytes
+            path, pool_pages=plan.pool_pages, hot_bytes=plan.hot_bytes
         ) as disk:
             got = ListCollector()
             started = time.perf_counter()
@@ -331,7 +338,7 @@ def bench_outofcore(database: list[list[int]], min_support: int) -> dict:
                 "budget_bytes": budget,
                 "ratio": round(array_bytes / budget, 2),
                 "hot_bytes": disk.hot_bytes,
-                "pool_pages": pool_pages,
+                "pool_pages": plan.pool_pages,
                 "partitions": len(disk.partitions),
                 "incore_wall_s": round(incore_wall, 4),
                 "wall_s": round(wall, 4),
@@ -858,8 +865,10 @@ def format_summary(report: dict) -> str:
             f"({outofcore['ratio']:.1f}x) -> mine {outofcore['wall_s']:.3f}s "
             f"({outofcore['slowdown'] or 0:.1f}x in-core, "
             f"{outofcore['nodes_per_s'] or 0:,} nodes/s)  "
-            f"read {outofcore['bytes_read']:,}B in {outofcore['faults']} "
-            f"faults + {outofcore['prefetched']} prefetched "
+            f"read {outofcore['bytes_read']:,}B "
+            f"({outofcore['bytes_read'] / outofcore['array_bytes']:.2f}x array, "
+            f"max {OUTOFCORE_MAX_READ_FACTOR * outofcore['partitions']}x) "
+            f"in {outofcore['faults']} faults + {outofcore['prefetched']} prefetched "
             f"(hit-rate {outofcore['prefetch_hit_rate']:.0%}); "
             f"identical={outofcore['identical']}"
         )
@@ -1054,6 +1063,23 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 "error: out-of-core leg mined different itemsets than the "
                 "in-core reference",
+                file=sys.stderr,
+            )
+            return 1
+        read_limit = (
+            OUTOFCORE_MAX_READ_FACTOR
+            * outofcore["partitions"]
+            * outofcore["array_bytes"]
+        )
+        if outofcore["bytes_read"] > read_limit:
+            # Deterministic: the projection reads each subarray at most
+            # once per partition, so more means the mine went back to
+            # paging ancestors in node by node.
+            print(
+                f"error: out-of-core leg read {outofcore['bytes_read']:,} "
+                f"bytes, over {OUTOFCORE_MAX_READ_FACTOR} x "
+                f"{outofcore['partitions']} partitions x "
+                f"{outofcore['array_bytes']:,} array bytes",
                 file=sys.stderr,
             )
             return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 from repro.core.cfp_growth import mine_array
 from repro.core.conversion import convert
@@ -68,6 +68,37 @@ def admission_limit(
     return headroom // per_request_bytes
 
 
+class SpillPlan(NamedTuple):
+    """How an out-of-core memory budget is spent (:func:`spill_plan`)."""
+
+    hot_bytes: int
+    pool_pages: int
+    partition_bytes: int
+
+
+def spill_plan(memory_budget: int) -> SpillPlan:
+    """Split an out-of-core memory budget between hot set, pool and partitions.
+
+    A quarter pins the hot set: the most frequent ranks, which every
+    partition's ancestor sweep reads. The rest backs the buffer pool.
+    Partitions are sized to half the pool so the active partition and its
+    read-ahead co-reside. Raises :class:`ExperimentError` for a budget
+    below :data:`MIN_POOL_PAGES` pages.
+    """
+    if memory_budget < MIN_POOL_PAGES * PAGE_SIZE:
+        raise ExperimentError(
+            f"budget {memory_budget} below the minimum of "
+            f"{MIN_POOL_PAGES * PAGE_SIZE} bytes"
+        )
+    hot_bytes = memory_budget // 4
+    pool_budget = memory_budget - hot_bytes
+    return SpillPlan(
+        hot_bytes=hot_bytes,
+        pool_pages=max(MIN_POOL_PAGES, pool_budget // PAGE_SIZE),
+        partition_bytes=max(PAGE_SIZE, pool_budget // 2),
+    )
+
+
 def snapshot_plan(
     memory_budget: int | None, array_bytes: int
 ) -> tuple[int | None, int]:
@@ -77,21 +108,13 @@ def snapshot_plan(
     :meth:`repro.streaming.snapshots.SnapshotManager.publish` and the
     store that will open the result. ``memory_budget=None`` (or a budget
     the whole array fits in) keeps the monolithic v2 format —
-    ``(None, 0)``; otherwise the same quarter-hot/rest-pool split as
-    :func:`mine_with_budget` applies, with partitions sized to half the
-    pool so the active partition and its read-ahead co-reside.
+    ``(None, 0)``; otherwise the budget splits as :func:`spill_plan`
+    says, the split :func:`mine_with_budget` spills with.
     """
     if memory_budget is None or array_bytes <= memory_budget:
         return None, 0
-    if memory_budget < MIN_POOL_PAGES * PAGE_SIZE:
-        raise ExperimentError(
-            f"budget {memory_budget} below the minimum of "
-            f"{MIN_POOL_PAGES * PAGE_SIZE} bytes"
-        )
-    hot_bytes = memory_budget // 4
-    pool_budget = memory_budget - hot_bytes
-    partition_bytes = max(PAGE_SIZE, pool_budget // 2)
-    return partition_bytes, hot_bytes
+    plan = spill_plan(memory_budget)
+    return plan.partition_bytes, plan.hot_bytes
 
 
 @dataclass
@@ -122,20 +145,20 @@ def mine_with_budget(
     budget (they are transient and small relative to the initial array;
     §3.5). Returns the itemsets and a report of the decision.
 
-    Out-of-core spills go to the partitioned tiered store (format v3):
-    the budget splits into a pinned hot set of the most frequent ranks
-    (a quarter), with the rest backing the buffer pool; partitions are
-    sized to half the pool so the active partition and its read-ahead
-    co-reside, and the mine proceeds partition-at-a-time with background
-    sequential prefetch. (The monolithic :class:`repro.storage.DiskCfpArray`
+    Out-of-core spills go to the partitioned tiered store (format v3),
+    with the budget split by :func:`spill_plan` into a pinned hot set,
+    the buffer pool and the partition size. The mine proceeds partition
+    by partition: entering a partition resolves the prefix paths of all
+    its nodes in one descending sweep over ancestor ranks
+    (:meth:`repro.storage.PartitionedCfpArray.project_partition`), each
+    ancestor subarray read through the pool once per partition, and the
+    partition then mines in core. The reader itself runs with the
+    decode cache off, so the budget covers exactly pool, hot set and
+    item index. (The monolithic :class:`repro.storage.DiskCfpArray`
     spill — the §4.3 access-pattern baseline — is measured directly by
     :mod:`repro.experiments.outofcore`.)
     """
-    if memory_budget < MIN_POOL_PAGES * PAGE_SIZE:
-        raise ExperimentError(
-            f"budget {memory_budget} below the minimum of "
-            f"{MIN_POOL_PAGES * PAGE_SIZE} bytes"
-        )
+    plan = spill_plan(memory_budget)
     table, transactions = prepare_transactions(database, min_support)
     tree = TernaryCfpTree.from_rank_transactions(transactions, len(table))
     tree_bytes = tree.memory_bytes
@@ -152,25 +175,17 @@ def mine_with_budget(
             went_out_of_core=False,
         )
     else:
-        # Tiered split: a quarter of the budget pins the hot set (the
-        # most frequent ranks, which every ancestor walk lands in), the
-        # rest backs the buffer pool. Partitions at half the pool let the
-        # active partition and its read-ahead co-reside.
-        hot_bytes = memory_budget // 4
-        pool_budget = memory_budget - hot_bytes
-        pool_pages = max(MIN_POOL_PAGES, pool_budget // PAGE_SIZE)
-        partition_bytes = max(PAGE_SIZE, pool_budget // 2)
         handle, path = tempfile.mkstemp(
             suffix=".cfpa", dir=os.fspath(spill_dir) if spill_dir else None
         )
         os.close(handle)
         try:
             save_cfp_array_partitioned(
-                array, path, partition_bytes=partition_bytes
+                array, path, partition_bytes=plan.partition_bytes
             )
             del array
             with PartitionedCfpArray(
-                path, pool_pages=pool_pages, hot_bytes=hot_bytes
+                path, pool_pages=plan.pool_pages, hot_bytes=plan.hot_bytes
             ) as disk:
                 mine_array(disk, min_support, collector)
                 stats = disk.pool.stats
@@ -179,7 +194,7 @@ def mine_with_budget(
                     tree_bytes=tree_bytes,
                     array_bytes=array_bytes,
                     went_out_of_core=True,
-                    pool_pages=pool_pages,
+                    pool_pages=plan.pool_pages,
                     page_faults=stats.faults,
                     partitions=len(disk.partitions),
                     hot_bytes=disk.hot_bytes,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import repeat
 from typing import Iterator, Sequence, Union
 
 from repro.compress import varint
@@ -534,6 +535,20 @@ class CfpArray:
             for rank in range(self.n_ranks, 0, -1)
             if self.starts[rank + 1] > self.starts[rank]
         )
+
+    def mine_schedule(
+        self,
+    ) -> Iterator[tuple[int, list[tuple[tuple[int, ...], int]] | None]]:
+        """The mine loop's ``(rank, prefix_paths)`` pairs, in mine order.
+
+        In-memory arrays hand over no paths (``None``): the mine resolves
+        each rank's paths itself through the memoized :meth:`prefix_paths`
+        walk. A partitioned reader overrides this to hand over each
+        partition's paths resolved in one sweep. The paths live in the
+        iterator, never on the array, so concurrent readers of one array
+        do not see each other's schedules.
+        """
+        return zip(self.active_ranks_descending(), repeat(None))
 
     def single_path(self) -> list[tuple[int, int]] | None:
         """The array's single path as ``(rank, count)`` pairs, or None.

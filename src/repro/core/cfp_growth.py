@@ -34,6 +34,10 @@ from repro.machine.meter import Meter
 from repro.obs.tracer import Span, Tracer
 from repro.util.items import TransactionDatabase, prepare_transactions
 
+#: One rank's prefix paths: ``(ancestor_ranks_ascending, count)`` per node,
+#: as :meth:`repro.core.cfp_array.CfpArray.prefix_paths` returns them.
+PrefixPaths = list[tuple[tuple[int, ...], int]]
+
 
 class SupportCollector(Protocol):
     """Sink for mined itemsets (:class:`repro.fptree.growth.ListCollector`).
@@ -96,9 +100,11 @@ def mine_array(
     This is the one mine loop; everything that varies between its callers
     comes from the inputs:
 
-    * the rank schedule from ``array.active_ranks_descending()`` — a
-      partitioned out-of-core reader yields its ranks partition by
-      partition and starts read-ahead as it enters each one;
+    * the rank schedule from ``array.mine_schedule()`` — a partitioned
+      out-of-core reader yields its ranks partition by partition, each
+      with its prefix paths from one projection sweep per partition
+      (:meth:`repro.storage.PartitionedCfpArray.project_partition`), and
+      starts read-ahead as it enters each one;
     * the pruning threshold from ``collector.threshold`` (see
       :func:`mine_rank`), which is how top-k mining raises it mid-run;
     * tracing: with a tracer installed and owned by the calling thread
@@ -112,8 +118,8 @@ def mine_array(
     """
     tracer = None if suffix else obs.owned_tracer()
     if tracer is None:
-        for rank in array.active_ranks_descending():
-            mine_rank(array, rank, min_support, collector, suffix, meter)
+        for rank, paths in array.mine_schedule():
+            mine_rank(array, rank, min_support, collector, suffix, meter, paths)
         if meter is not None and not suffix:
             # Untraced metered runs never hit a span snapshot; fold the
             # batched scan accounting in before the caller reads the meter.
@@ -124,8 +130,8 @@ def mine_array(
     if meter is None:
         meter = Meter()
     cache_before = array.cache_counts()
-    for rank in array.active_ranks_descending():
-        mine_rank_span(tracer, array, rank, min_support, collector, (), meter)
+    for rank, paths in array.mine_schedule():
+        mine_rank_span(tracer, array, rank, min_support, collector, (), meter, paths)
     array.publish_cache_metrics(obs.metrics, baseline=cache_before)
 
 
@@ -137,6 +143,7 @@ def mine_rank_span(
     collector: SupportCollector,
     suffix: tuple[int, ...],
     meter: Any,
+    paths: PrefixPaths | None = None,
 ) -> Span:
     """:func:`mine_rank` inside a ``mine_rank`` span carrying meter deltas.
 
@@ -154,7 +161,7 @@ def mine_rank_span(
     )
     try:
         before = _meter_counts(meter)
-        mine_rank(array, rank, min_support, collector, suffix, meter)
+        mine_rank(array, rank, min_support, collector, suffix, meter, paths)
         _attach_meter_delta(span, meter, before)
     finally:
         tracer.end_span(span)
@@ -168,6 +175,7 @@ def mine_rank(
     collector: SupportCollector,
     suffix: tuple[int, ...] = (),
     meter: Any = None,
+    paths: PrefixPaths | None = None,
 ) -> None:
     """Mine one top-level rank of ``array`` — the body of the outer loop.
 
@@ -175,15 +183,31 @@ def mine_rank(
     can run per-rank tasks through exactly the serial code path, which is
     what makes worker output byte-identical to the serial miner's.
 
+    ``paths`` are the rank's prefix paths when the array's
+    :meth:`~repro.core.cfp_array.CfpArray.mine_schedule` resolved them
+    already (a partitioned reader's per-partition projection); the rank's
+    support is then the sum of their counts and the array is not read
+    again. ``None`` resolves them through ``array.prefix_paths``.
+
     The effective threshold is ``max(min_support, collector.threshold)``,
     read once per rank before the support check and again after the
     rank's own itemset is emitted (which may raise a top-k bound), before
     the conditional is built.
+
+    A conditional array gets the parent's decode-cache budget, or
+    :data:`DEFAULT_CACHE_BUDGET` when the parent runs cache-off (an
+    out-of-core reader whose memory budget covers only pool, hot set and
+    index): conditionals are transient in-memory structures that budget
+    does not charge (§3.5), and cache-off they re-decode a parent
+    subarray at every ancestor step.
     """
     threshold = collector.threshold
     if threshold < min_support:
         threshold = min_support
-    support = array.rank_support(rank)
+    if paths is None:
+        support = array.rank_support(rank)
+    else:
+        support = sum(count for __, count in paths)
     if support < threshold:
         return
     itemset = (rank,) + suffix
@@ -191,7 +215,7 @@ def mine_rank(
     threshold = collector.threshold
     if threshold < min_support:
         threshold = min_support
-    chain, cond_array = _conditional_struct(array, rank, threshold, meter)
+    chain, cond_array = _conditional_struct(array, rank, threshold, meter, paths)
     if chain is not None:
         # Degenerate (single-path) conditional: the chain already carries
         # the suffix-summed counts the tree's single_path() would report,
@@ -200,7 +224,7 @@ def mine_rank(
         return
     if cond_array is None:
         return
-    cond_array.set_cache_budget(array.cache_budget)
+    cond_array.set_cache_budget(array.cache_budget or DEFAULT_CACHE_BUDGET)
     mine_array(cond_array, min_support, collector, itemset, meter)
     if obs.owned_tracer() is not None:
         # Conditional arrays are ephemeral; fold their cache counters into
@@ -212,7 +236,11 @@ def mine_rank(
 
 
 def _conditional_struct(
-    array: CfpArray, rank: int, min_support: int, meter: Any = None
+    array: CfpArray,
+    rank: int,
+    min_support: int,
+    meter: Any = None,
+    paths: PrefixPaths | None = None,
 ) -> tuple[list[tuple[int, int]] | None, CfpArray | None]:
     """Build ``rank``'s conditional structure via the columnar kernels.
 
@@ -227,9 +255,11 @@ def _conditional_struct(
     determine the logical conditional trie, and
     :func:`repro.core.kernels.build_conditional_array` encodes that trie
     through the same splice/assemble primitives ``convert`` uses — the
-    intermediate ternary tree never exists.
+    intermediate ternary tree never exists. ``paths`` are the rank's
+    prefix paths when the caller resolved them already.
     """
-    paths = array.prefix_paths(rank)
+    if paths is None:
+        paths = array.prefix_paths(rank)
     if not paths:
         if meter is not None:
             meter._scan_ops += 1

@@ -567,6 +567,10 @@ class DiskCfpArray:
             if self.starts[rank + 1] > self.starts[rank]:
                 yield rank
 
+    #: No paths handed over: the mine walks prefix paths node by node
+    #: through the pool, the §4.3 access pattern this reader measures.
+    mine_schedule = CfpArray.mine_schedule
+
     def subarray_bytes(self, rank: int) -> int:
         return self.starts[rank + 1] - self.starts[rank]
 

@@ -6,21 +6,23 @@ traversal interface from a partitioned store while keeping resident only:
 * the item index (``starts``) — the paper's "small item index",
 * a **pinned hot set**: the most frequent ranks' encoded subarrays, read
   once at open and held outside the buffer pool. Ranks *are* the item
-  table's frequency order (rank 1 = most frequent), and every backward
-  ancestor walk moves strictly toward lower ranks, so the hot set absorbs
-  exactly the cross-partition traffic that would otherwise thrash the
-  pool while a high-rank partition is being mined,
+  table's frequency order (rank 1 = most frequent), and parent links
+  point strictly toward lower ranks, so every partition's ancestor sweep
+  reads these ranks; pinned, they cost no pool traffic,
 * a :class:`~repro.storage.bufferpool.BufferPool` over the page file for
   the active partition's pages, and
 * the optional decoded-subarray LRU cache shared with every other reader.
 
 The mine loop (:func:`repro.core.cfp_growth.mine_array`) takes its rank
-schedule from :meth:`PartitionedCfpArray.active_ranks_descending`, which
-visits partitions in descending rank order and calls
-:meth:`begin_partition` on entering each one; that hands the next
-partition(s) in schedule order to a background
-:class:`~repro.storage.bufferpool.Prefetcher`, so sequential read-ahead
-overlaps the columnar mine of the active partition. ``REPRO_PREFETCH=0``
+schedule from :meth:`PartitionedCfpArray.mine_schedule`, which visits
+partitions in descending rank order. Entering one projects it
+(:meth:`PartitionedCfpArray.project_partition`): the prefix paths of
+all its nodes are resolved in one descending sweep over ancestor ranks,
+each subarray read through the pool once, and handed to the mine with
+their ranks, so the partition mines in core. Entering a partition also
+calls :meth:`begin_partition`, which hands the next partition(s) in
+schedule order to a background
+:class:`~repro.storage.bufferpool.Prefetcher`. ``REPRO_PREFETCH=0``
 disables the thread; ``REPRO_PREFETCH_DEPTH`` sets how many partitions
 ahead to request (default 1). Prefetch is pure opportunism — answers are
 identical with it off, dead, or fault-injected (``pagefile.prefetch``).
@@ -31,8 +33,14 @@ from __future__ import annotations
 import os
 from typing import Iterator
 
+from repro import obs
 from repro.compress import varint
-from repro.core.cfp_array import CfpArray, DecodedSubarray, _SubarrayCache
+from repro.core.cfp_array import (
+    _LOCAL_BITS,
+    CfpArray,
+    DecodedSubarray,
+    _SubarrayCache,
+)
 from repro.errors import TreeError
 from repro.storage.bufferpool import (
     BufferPool,
@@ -59,7 +67,8 @@ class PartitionedCfpArray(CfpArray):
     buffer-touching method is overridden to resolve through the hot set
     or the buffer pool. All recursive traversals (``prefix_paths``,
     ``_resolve_path``, ``single_path``, ``rank_support``) funnel through
-    :meth:`subarray_columns`, so they run unchanged.
+    :meth:`subarray_columns`, so they run unchanged; the mine itself
+    takes its paths from :meth:`mine_schedule` instead.
     """
 
     def __init__(
@@ -154,12 +163,12 @@ class PartitionedCfpArray(CfpArray):
     def active_ranks_descending(self) -> Iterator[int]:
         """Non-empty ranks, least frequent first, partition by partition.
 
-        The mine schedule: partitions are visited highest ranks first and
-        ranks descending within each, which concatenates to exactly the
-        monolithic array's order — so the out-of-core mine is
-        byte-identical to the in-core one. Entering a partition calls
-        :meth:`begin_partition`, which starts read-ahead of the next one
-        before the active partition is scanned.
+        Partitions are visited highest ranks first and ranks descending
+        within each, which concatenates to exactly the monolithic array's
+        order — the order :meth:`mine_schedule` mines in, so the
+        out-of-core mine is byte-identical to the in-core one. Entering a
+        partition calls :meth:`begin_partition`, which starts read-ahead
+        of the next one before the active partition is scanned.
         """
         starts = self.starts
         for part in reversed(self.partitions):
@@ -167,6 +176,131 @@ class PartitionedCfpArray(CfpArray):
             for rank in range(part.last_rank, part.first_rank - 1, -1):
                 if starts[rank + 1] > starts[rank]:
                     yield rank
+
+    def mine_schedule(
+        self,
+    ) -> Iterator[tuple[int, list[tuple[tuple[int, ...], int]] | None]]:
+        """``(rank, prefix_paths)`` pairs, partition by partition.
+
+        The same rank order as :meth:`active_ranks_descending`, with each
+        rank's prefix paths resolved by :meth:`project_partition` as its
+        partition is entered, so the partition then mines in core. The
+        projection is a local of this generator, never reader state: a
+        served store is mined and queried from different threads.
+        """
+        for part in reversed(self.partitions):
+            self.begin_partition(part.index)
+            projection = self.project_partition(part)
+            for rank in sorted(projection, reverse=True):
+                yield rank, projection.pop(rank)
+
+    def project_partition(
+        self, part: PartitionInfo
+    ) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+        """Prefix paths of every node in one partition, in one ancestor sweep.
+
+        Returns ``{rank: [(ancestor_ranks_ascending, count), ...]}`` for
+        the partition's non-empty ranks, nodes in storage order — what
+        :meth:`prefix_paths` returns rank by rank. With a tracer owned by
+        the calling thread, one ``partition_project`` span records the
+        sweep's ranks, nodes, ancestor ranks read and pool bytes read.
+        """
+        tracer = obs.owned_tracer()
+        if tracer is None:
+            return self._sweep(part)[0]
+        span = tracer.begin_span("partition_project", {"partition": part.index})
+        try:
+            bytes_before = self.pool.stats.bytes_read
+            projection, nodes, ancestor_ranks = self._sweep(part)
+            span.set("ranks", len(projection))
+            span.set("nodes", nodes)
+            span.set("ancestor_ranks", ancestor_ranks)
+            span.set("bytes_read", self.pool.stats.bytes_read - bytes_before)
+        finally:
+            tracer.end_span(span)
+        return projection
+
+    def _sweep(
+        self, part: PartitionInfo
+    ) -> tuple[dict[int, list[tuple[tuple[int, ...], int]]], int, int]:
+        """:meth:`project_partition`'s work: ``(projection, nodes, ancestor_ranks)``.
+
+        Parents always sit at lower ranks, so one pass over ranks in
+        descending order reaches every ancestor after all of its
+        descendants: each rank's subarray is read and decoded once per
+        partition, and each ancestor node is visited once however many
+        paths run through it. A dpos chain that lands off a node start, or
+        a parent link that does not point to a lower rank, raises
+        :class:`TreeError`.
+        """
+        starts = self.starts
+        # Packed (rank, local) key of every visited node -> its parent's
+        # key (0 = the root), in visiting order: descending rank.
+        parent_of: dict[int, int] = {}
+        # Ancestor locals requested per rank, served when the sweep gets there.
+        wanted: dict[int, set[int]] = {}
+        own: dict[int, DecodedSubarray] = {}
+        ancestor_ranks = 0
+        for rank in range(part.last_rank, 0, -1):
+            requested = wanted.pop(rank, None)
+            in_partition = rank >= part.first_rank
+            if in_partition:
+                if starts[rank + 1] == starts[rank]:
+                    continue
+                entry = own[rank] = self.subarray_columns(rank)
+            elif requested is None:
+                continue
+            else:
+                entry = self.subarray_columns(rank)
+                ancestor_ranks += 1
+            rows: list[int] = []
+            if requested is not None:
+                index_of = entry.index_of
+                for local in requested:
+                    index = index_of(local)
+                    if index is None:
+                        raise TreeError(
+                            f"dpos chain lands at rank {rank} local {local}, "
+                            f"not a node start"
+                        )
+                    rows.append(index)
+            locals_col = entry.locals
+            delta_items = entry.delta_items
+            dposes = entry.dposes
+            key_base = rank << _LOCAL_BITS
+            for index in range(len(entry)) if in_partition else rows:
+                local = locals_col[index]
+                parent_rank = rank - delta_items[index]
+                if parent_rank == 0:
+                    parent_of[key_base | local] = 0
+                    continue
+                if not 0 < parent_rank < rank:
+                    raise TreeError(
+                        f"node at rank {rank} local {local} links to rank "
+                        f"{parent_rank}, not a lower rank"
+                    )
+                parent_local = local - dposes[index]
+                parent_of[key_base | local] = (parent_rank << _LOCAL_BITS) | parent_local
+                pending = wanted.get(parent_rank)
+                if pending is None:
+                    wanted[parent_rank] = {parent_local}
+                else:
+                    pending.add(parent_local)
+        # Unwind in ascending rank order, parents before children: the
+        # path through a node is its parent's plus the node's own rank.
+        through: dict[int, tuple[int, ...]] = {0: ()}
+        for key, parent in reversed(parent_of.items()):
+            through[key] = through[parent] + (key >> _LOCAL_BITS,)
+        projection = {}
+        nodes = 0
+        for rank, entry in own.items():
+            key_base = rank << _LOCAL_BITS
+            projection[rank] = [
+                (through[parent_of[key_base | local]], count)
+                for local, count in zip(entry.locals, entry.counts)
+            ]
+            nodes += len(entry)
+        return projection, nodes, ancestor_ranks
 
     def begin_partition(self, index: int) -> None:
         """Announce that partition ``index`` is about to be mined.

@@ -86,3 +86,34 @@ class TestCollectors:
         results = cfp_growth(db, 2)
         keys = [frozenset(itemset) for itemset, __ in results]
         assert len(keys) == len(set(keys))
+
+
+class TestConditionalCache:
+    def test_conditionals_of_a_cache_off_array_get_the_default_cache(
+        self, monkeypatch
+    ):
+        import importlib
+
+        from repro.core.conversion import convert
+        from repro.core.ternary import TernaryCfpTree
+
+        table, transactions = prepare_transactions(random_database(8, 300, 16, 8), 3)
+        array = convert(TernaryCfpTree.from_rank_transactions(transactions, len(table)))
+        assert array.cache_budget == 0
+        # The module, not the cfp_growth function repro.core re-exports.
+        growth = importlib.import_module("repro.core.cfp_growth")
+        budgets = []
+        mine_array = growth.mine_array
+
+        def recording(cond_array, *args, **kwargs):
+            budgets.append(cond_array.cache_budget)
+            return mine_array(cond_array, *args, **kwargs)
+
+        monkeypatch.setattr(growth, "mine_array", recording)
+        collector = ListCollector()
+        recording(array, 3, collector)
+        assert len(budgets) > 1
+        assert budgets[1:] == [growth.DEFAULT_CACHE_BUDGET] * (len(budgets) - 1)
+        assert normalize(
+            [(table.ranks_to_items(r), s) for r, s in collector.itemsets]
+        ) == normalize(cfp_growth(random_database(8, 300, 16, 8), 3))

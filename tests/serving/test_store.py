@@ -139,6 +139,72 @@ class TestPartitionedStore:
                 min_confidence=0.6
             )
 
+    def test_support_queries_during_projected_mine(self, tmp_path):
+        """The projection handoff is not reader state another thread sees.
+
+        A cache-off v3 store builds its frequent list (a projected,
+        partition-by-partition mine) while 8 threads query supports. Every
+        answer must match the library's, and the reader's attributes must
+        stay as they were: a projection parked on the shared reader is
+        exactly what this forbids.
+        """
+        import sys
+        import threading
+
+        database = random_database(seed=5, n_transactions=400, n_items=25)
+        path = tmp_path / "part.cfpa"
+        build_store(database, 4, path, partition_bytes=64)
+        table, transactions = prepare_transactions(database, 4)
+        array = convert(TernaryCfpTree.from_rank_transactions(transactions, len(table)))
+        by_rank = sorted(table.rank_of, key=table.rank_of.get)
+        queries = [
+            [by_rank[rank] for rank in ranks]
+            for ranks in ((-1,), (0, -1), (1, 2), (2, 5, 9), (4, 8), (0, 3, 6), (7, -2))
+        ]
+        expected = [itemset_support(array, table, q) for q in queries]
+        failures: list[str] = []
+        done = threading.Event()
+        started = threading.Barrier(9, timeout=60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServingStore(path, cache_budget=0, pool_pages=2) as store:
+                attributes = {k: id(v) for k, v in vars(store.array).items()}
+
+                def worker(offset: int) -> None:
+                    started.wait()
+                    step = offset
+                    while not done.is_set() and step < offset + 5000:
+                        index = step % len(queries)
+                        got = store.support(queries[index])
+                        if got != expected[index]:
+                            failures.append(f"{queries[index]}: {got}")
+                        if {k: id(v) for k, v in vars(store.array).items()} != attributes:
+                            failures.append("reader attributes changed")
+                        step += 1
+
+                threads = [
+                    threading.Thread(target=worker, args=(offset,)) for offset in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                try:
+                    started.wait()
+                    frequent = store.top_k(1 << 20)
+                finally:
+                    done.set()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(store.array.partitions) >= 6
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:5]
+        assert sorted(frequent) == sorted(
+            (tuple(sorted(itemset, key=table.rank_of.get)), support)
+            for itemset, support in cfp_growth(database, 4)
+        )
+
     def test_hot_set_counts_as_resident(self, tmp_path):
         database = random_database(seed=5, n_transactions=120)
         path = tmp_path / "part.cfpa"

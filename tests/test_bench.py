@@ -311,3 +311,29 @@ class TestMineFloors:
     def test_machine_records_kernel_backend(self):
         report = _tiny_run(jobs=(1,))
         assert report["machine"]["kernel_backend"] in {"python", "numpy"}
+
+
+class TestOutOfCoreLeg:
+    def test_cli_fails_when_reads_exceed_the_bound(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        forged = {
+            "array_bytes": 1000, "budget_bytes": 100, "ratio": 10.0,
+            "partitions": 3, "bytes_read": 6001, "faults": 2, "prefetched": 1,
+            "prefetch_hits": 1, "prefetch_hit_rate": 1.0, "wall_s": 0.1,
+            "slowdown": 1.0, "nodes_per_s": 1, "identical": True,
+        }
+        monkeypatch.setattr(bench, "_quest_ooc", lambda quick: ([[1]], 1))
+        monkeypatch.setattr(bench, "bench_outofcore", lambda db, ms: dict(forged))
+        monkeypatch.setitem(
+            bench.DATASETS, "paper", lambda quick: (paper_example_database(), 2)
+        )
+        args = ["--quick", "--datasets", "paper", "--jobs", "1",
+                "--build-jobs", "1", "--output-dir", str(tmp_path),
+                "--no-serving", "--no-compare", "--no-incremental"]
+        assert bench.main(args) == 1
+        captured = capsys.readouterr()
+        assert "6.00x array, max 6x" in captured.out
+        assert "over 2 x 3 partitions" in captured.err
+        forged["bytes_read"] = 6000
+        assert bench.main(args) == 0

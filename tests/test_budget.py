@@ -76,6 +76,21 @@ class TestPartitionedSpill:
         assert normalize(itemsets) == expected
 
 
+class TestReadAmplification:
+    """Each partition's projection sweep reads a subarray at most once."""
+
+    def test_bytes_read_bounded_by_partitions(self, tmp_path):
+        rng = random.Random(11)
+        db = [rng.sample(range(120), rng.randint(6, 12)) for __ in range(4000)]
+        budget = 2 * PAGE_SIZE
+        itemsets, report = mine_with_budget(db, 40, budget, spill_dir=tmp_path)
+        assert report.went_out_of_core
+        assert report.array_bytes >= 10 * budget
+        assert report.partitions >= 6
+        assert report.bytes_read <= 2 * report.partitions * report.array_bytes
+        assert normalize(itemsets) == normalize(cfp_growth(db, 40))
+
+
 class TestTracedOutOfCore:
     """The partitioned mine runs through the shared, traced driver."""
 
@@ -105,6 +120,14 @@ class TestTracedOutOfCore:
         spans = [r for r in tracer.records if r.name == "mine_rank"]
         assert [s.attrs["rank"] for s in spans] == list(range(len(table), 0, -1))
         assert report.prefetch_hits > 0
+        projections = [r for r in tracer.records if r.name == "partition_project"]
+        assert [p.attrs["partition"] for p in projections] == list(
+            range(report.partitions - 1, -1, -1)
+        )
+        assert sum(p.attrs["ranks"] for p in projections) == len(table)
+        assert sum(p.attrs["nodes"] for p in projections) > 0
+        assert all(p.attrs["ancestor_ranks"] >= 0 for p in projections)
+        assert 0 < sum(p.attrs["bytes_read"] for p in projections) <= report.bytes_read
 
 
 class TestValidation:
